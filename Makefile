@@ -110,13 +110,15 @@ bench-smoke:
 	go run ./cmd/dgs-bench -readbench -read-pushes $(READ_SMOKE_PUSHES) -json $(READ_SMOKE_OUT)
 	go run ./cmd/dgs-benchdiff -read -baseline BENCH_PR10.json -current $(READ_SMOKE_OUT)
 
-# Short local fuzz pass over the wire and checkpoint decoders (the scheduled
-# CI job runs each target for minutes; see .github/workflows/fuzz.yml).
+# Short local fuzz pass over the wire and checkpoint decoders and the Top-k
+# kernel (the scheduled CI job runs each target for minutes; see
+# .github/workflows/fuzz.yml).
 FUZZ_SMOKE_TIME ?= 10s
 
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzDecodeAny$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
+	go test -run '^$$' -fuzz '^FuzzTopK$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzTernaryDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/quant
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/checkpoint
 	go test -run '^$$' -fuzz '^FuzzReplicaFrame$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/replica

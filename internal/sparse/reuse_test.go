@@ -149,12 +149,17 @@ func TestSelectorThresholdMatchesSort(t *testing.T) {
 func TestSelectorSteadyStateAllocs(t *testing.T) {
 	x := make([]float32, 1<<16)
 	tensor.NewRNG(35).FillNormal(x, 0, 1)
+	gidx := make([]int32, len(x))
+	for i := range gidx {
+		gidx[i] = int32(len(x) - 1 - i)
+	}
 	var sel Selector
 	k := len(x) / 100
-	sel.TopK(x, k) // warm the scratch
+	sel.TopKList(x, gidx, k) // warm the scratch
 	allocs := testing.AllocsPerRun(10, func() {
 		sel.TopK(x, k)
 		sel.Threshold(x, k)
+		sel.TopKList(x, gidx, k)
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state selection allocates %v objects, want 0", allocs)

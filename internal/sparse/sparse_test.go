@@ -107,35 +107,6 @@ func TestTopKProperty(t *testing.T) {
 	}
 }
 
-func TestTopKLargeMatchesSort(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	x := make([]float32, 10000)
-	rng.FillNormal(x, 0, 1)
-	k := 100
-	got := TopKIndices(x, k)
-	// Reference: full sort.
-	ref := make([]int, len(x))
-	for i := range ref {
-		ref[i] = i
-	}
-	sort.Slice(ref, func(a, b int) bool {
-		aa, ab := math.Abs(float64(x[ref[a]])), math.Abs(float64(x[ref[b]]))
-		if aa != ab {
-			return aa > ab
-		}
-		return ref[a] < ref[b]
-	})
-	want := make(map[int]bool, k)
-	for _, i := range ref[:k] {
-		want[i] = true
-	}
-	for _, i := range got {
-		if !want[int(i)] {
-			t.Fatalf("index %d selected but not in reference top-%d", i, k)
-		}
-	}
-}
-
 func TestThreshold(t *testing.T) {
 	x := []float32{0.1, -5, 3, -0.2, 4}
 	if thr := Threshold(x, 2); thr != 4 {
@@ -143,6 +114,15 @@ func TestThreshold(t *testing.T) {
 	}
 	if thr := Threshold(x, 5); thr != 0.1 {
 		t.Fatalf("Threshold k=5 = %v, want 0.1", thr)
+	}
+	// The threshold is in Rank space, as TopKList reports it: NaN ranks as
+	// +Inf and never comes back as NaN.
+	nan := []float32{float32(math.NaN()), 1, 2}
+	if thr := Threshold(nan, 3); thr != 1 {
+		t.Fatalf("Threshold([NaN 1 2], 3) = %v, want 1", thr)
+	}
+	if thr := Threshold(nan, 1); !math.IsInf(float64(thr), 1) {
+		t.Fatalf("Threshold([NaN 1 2], 1) = %v, want +Inf", thr)
 	}
 }
 

@@ -39,7 +39,11 @@ func TopKIndices(x []float32, k int) []int32 {
 // the first call on a layer its capacity is retained, so steady-state
 // selection allocates nothing. A Selector is not safe for concurrent use.
 type Selector struct {
-	idx []int32
+	idx  []int32  // selection output (TopK) / list positions (TopKList)
+	keys []uint32 // keys of the boundary bucket
+	// hist is allocated on first use, so a Selector embedded in
+	// per-worker or per-layer state stays a few words, not 8 KiB.
+	hist *[1 << 11]uint32
 }
 
 // TopK returns the indices of the k largest |x| values in ascending order,
@@ -51,62 +55,35 @@ func (s *Selector) TopK(x []float32, k int) []int32 {
 	if k <= 0 || n == 0 {
 		return nil
 	}
-	idx := s.fill(n)
-	if k >= n {
-		return idx
+	k = min(k, n)
+	thr, ties := s.selectKey(x, k)
+	if cap(s.idx) < k {
+		s.idx = make([]int32, k)
 	}
-	quickselect(x, idx, k)
-	top := idx[:k]
-	sortInt32(top)
-	return top
+	// One in-order pass: every coordinate above the threshold plus the
+	// first ties at it, so the output is already ascending.
+	out := s.idx[:0]
+	for i, v := range x {
+		if kv := key(v); kv > thr {
+			out = append(out, int32(i))
+		} else if kv == thr && ties > 0 {
+			out = append(out, int32(i))
+			ties--
+		}
+	}
+	s.idx = out
+	return out
 }
 
-// Threshold returns the k-th largest |x| (the paper's thr) without sorting
-// the selection: after quickselect the partition point itself is the k-th
-// order statistic, so no full Top-k materialisation or min-scan is needed.
-// It returns 0 for k <= 0 or empty x.
+// Threshold returns the k-th largest Rank of x (the paper's thr) without
+// materialising the selection. k > len(x) gives the smallest Rank. It
+// returns 0 for k <= 0 or empty x.
 func (s *Selector) Threshold(x []float32, k int) float32 {
-	n := len(x)
-	if k <= 0 || n == 0 {
+	if k <= 0 || len(x) == 0 {
 		return 0
 	}
-	if k >= n {
-		// Smallest |value| overall.
-		minAbs := absOf(x, 0)
-		for i := int32(1); i < int32(n); i++ {
-			if a := absOf(x, i); a < minAbs {
-				minAbs = a
-			}
-		}
-		return minAbs
-	}
-	idx := s.fill(n)
-	// quickselect maintains k-1 inside the shrinking [lo,hi] window, so on
-	// exit idx[k-1] holds exactly the k-th element of the descending-|x|
-	// order — the threshold.
-	quickselect(x, idx, k)
-	return absOf(x, idx[k-1])
-}
-
-// fill resizes the scratch to n identity indices.
-func (s *Selector) fill(n int) []int32 {
-	if cap(s.idx) < n {
-		s.idx = make([]int32, n)
-	}
-	s.idx = s.idx[:n]
-	for i := range s.idx {
-		s.idx[i] = int32(i)
-	}
-	return s.idx
-}
-
-// absOf returns |x[i]| without branching on NaN (NaN sorts last).
-func absOf(x []float32, i int32) float32 {
-	v := x[i]
-	if v < 0 {
-		return -v
-	}
-	return v
+	thr, _ := s.selectKey(x, min(k, len(x)))
+	return math.Float32frombits(thr)
 }
 
 // Rank maps a value to its selection magnitude: |v|, with NaN promoted to
@@ -128,104 +105,78 @@ func Rank(v float32) float32 {
 	return v
 }
 
-// less reports whether index a should come before b in descending-|x| order
-// with ascending-index tiebreak.
-func less(x []float32, a, b int32) bool {
-	av, bv := Rank(x[a]), Rank(x[b])
-	if av != bv {
-		return av > bv
-	}
-	return a < b
+// infKey is the key of +Inf; every NaN is clamped to it.
+const infKey = 0x7f800000
+
+// key is Rank as an order-preserving integer: the bits of |v|, which sort
+// like the magnitudes themselves, with NaN clamped to +Inf. −0 and +0 share
+// key 0. math.Float32frombits(key(v)) == Rank(v) for every v but NaN, whose
+// Rank is +Inf all the same.
+func key(v float32) uint32 {
+	return min(math.Float32bits(v)&0x7fffffff, infKey)
 }
 
-// quickselect partially orders idx so idx[:k] holds the top-k positions.
-func quickselect(x []float32, idx []int32, k int) {
-	lo, hi := 0, len(idx)-1
-	for lo < hi {
-		p := partition(x, idx, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
+// selectKey is a radix select for the k-th largest key of x (1 <= k <=
+// len(x)). It returns that key, thr, and how many of the coordinates with
+// key == thr belong to the top k (ties >= 1). One histogram pass over the
+// top 11 key bits finds the boundary bucket, a second pass collects that
+// bucket's keys, and two 10-bit rounds over the short list resolve thr
+// exactly. x is only ever read in order.
+func (s *Selector) selectKey(x []float32, k int) (thr uint32, ties int) {
+	if s.hist == nil {
+		s.hist = new([1 << 11]uint32)
+	}
+	hist := s.hist
+	clear(hist[:])
+	for _, v := range x {
+		hist[key(v)>>20]++
+	}
+	hi, need := descend(hist[:], k)
+	if cap(s.keys) < int(hist[hi]) {
+		s.keys = make([]uint32, hist[hi])
+	}
+	keys := s.keys[:0]
+	for _, v := range x {
+		if kv := key(v); kv>>20 == hi {
+			keys = append(keys, kv)
 		}
 	}
-}
-
-func partition(x []float32, idx []int32, lo, hi int) int {
-	// Median-of-three pivot to avoid quadratic behaviour on sorted data.
-	mid := lo + (hi-lo)/2
-	if less(x, idx[mid], idx[lo]) {
-		idx[lo], idx[mid] = idx[mid], idx[lo]
-	}
-	if less(x, idx[hi], idx[lo]) {
-		idx[lo], idx[hi] = idx[hi], idx[lo]
-	}
-	if less(x, idx[hi], idx[mid]) {
-		idx[mid], idx[hi] = idx[hi], idx[mid]
-	}
-	pivot := idx[mid]
-	idx[mid], idx[hi] = idx[hi], idx[mid]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if less(x, idx[i], pivot) {
-			idx[i], idx[store] = idx[store], idx[i]
-			store++
+	thr = hi << 20
+	for shift := uint32(10); ; shift -= 10 {
+		h := hist[:1<<10]
+		clear(h)
+		for _, kv := range keys {
+			h[kv>>shift&0x3ff]++
 		}
-	}
-	idx[store], idx[hi] = idx[hi], idx[store]
-	return store
-}
-
-func sortInt32(a []int32) {
-	// Insertion sort is fine: k is small relative to n and nearly unordered.
-	// Fall back to a simple quicksort for larger k.
-	if len(a) < 32 {
-		for i := 1; i < len(a); i++ {
-			v := a[i]
-			j := i - 1
-			for j >= 0 && a[j] > v {
-				a[j+1] = a[j]
-				j--
-			}
-			a[j+1] = v
+		var b uint32
+		b, need = descend(h, need)
+		thr |= b << shift
+		if shift == 0 {
+			return thr, need
 		}
-		return
-	}
-	qsortInt32(a, 0, len(a)-1)
-}
-
-func qsortInt32(a []int32, lo, hi int) {
-	for lo < hi {
-		p := a[lo+(hi-lo)/2]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
+		// Keep only the keys of the chosen bucket for the next round.
+		j := 0
+		for _, kv := range keys {
+			if kv>>shift&0x3ff == b {
+				keys[j] = kv
+				j++
 			}
 		}
-		// Recurse into the smaller half, loop on the larger.
-		if j-lo < hi-i {
-			qsortInt32(a, lo, j)
-			lo = i
-		} else {
-			qsortInt32(a, i, hi)
-			hi = j
-		}
+		keys = keys[:j]
 	}
 }
 
-// Threshold returns the k-th largest absolute value of x (the paper's thr).
+// descend walks histogram h from its top bucket down to the one holding the
+// need-th largest element, and returns it with the rank still needed inside.
+func descend(h []uint32, need int) (uint32, int) {
+	b := len(h) - 1
+	for ; need > int(h[b]); b-- {
+		need -= int(h[b])
+	}
+	return uint32(b), need
+}
+
+// Threshold returns the k-th largest Rank of x (the paper's thr).
 // It returns 0 for k <= 0 or empty x.
 func Threshold(x []float32, k int) float32 {
 	var s Selector
@@ -235,8 +186,8 @@ func Threshold(x []float32, k int) float32 {
 // TopKList is bounded Top-k over a sparse candidate list: val[i] is the
 // value living at original coordinate gidx[i] (coordinates unique, order of
 // the list arbitrary). It selects the k largest-|val| entries under exactly
-// the ordering TopK applies to a full dense layer — descending magnitude,
-// ties broken by ascending original coordinate — so as long as the list
+// the ordering TopK applies to a full dense layer — descending Rank, ties
+// broken by ascending original coordinate — so as long as the list
 // contains every coordinate that could reach the top k, the selected set is
 // bitwise-identical to a full-layer TopK, at O(len(val)) instead of
 // O(layer). This is what lets ps.Server run secondary compression over only
@@ -252,76 +203,31 @@ func (s *Selector) TopKList(val []float32, gidx []int32, k int) ([]int32, float3
 	if k <= 0 || n == 0 {
 		return nil, 0
 	}
-	pos := s.fill(n)
-	if k >= n {
-		// Everything is selected; the threshold is the smallest magnitude.
-		thr := Rank(val[0])
-		for i := 1; i < n; i++ {
-			if r := Rank(val[i]); r < thr {
-				thr = r
-			}
-		}
-		sortPosByIdx(pos, gidx)
-		return pos, thr
+	k = min(k, n)
+	thr, ties := s.selectKey(val, k)
+	if cap(s.idx) < n {
+		s.idx = make([]int32, n)
 	}
-	quickselectList(val, gidx, pos, k)
-	// As in Threshold: after quickselect pos[k-1] is exactly the k-th entry
-	// of the descending order, so its magnitude is the threshold.
-	thr := Rank(val[pos[k-1]])
+	pos := s.idx[:n]
+	// Positions above the threshold fill pos from the front, those at it
+	// from the back; of the latter the ties with the smallest gidx win.
+	above, at := 0, n
+	for i, v := range val {
+		if kv := key(v); kv > thr {
+			pos[above] = int32(i)
+			above++
+		} else if kv == thr {
+			at--
+			pos[at] = int32(i)
+		}
+	}
+	if n-at > ties {
+		sortPosByIdx(pos[at:], gidx)
+	}
+	copy(pos[above:k], pos[at:at+ties])
 	top := pos[:k]
 	sortPosByIdx(top, gidx)
-	return top, thr
-}
-
-// lessList is less() over a candidate list: descending Rank(val), ties by
-// ascending original coordinate — identical to the full-layer ordering.
-func lessList(val []float32, gidx []int32, a, b int32) bool {
-	av, bv := Rank(val[a]), Rank(val[b])
-	if av != bv {
-		return av > bv
-	}
-	return gidx[a] < gidx[b]
-}
-
-// quickselectList partially orders pos so pos[:k] holds the top-k list
-// positions under lessList.
-func quickselectList(val []float32, gidx []int32, pos []int32, k int) {
-	lo, hi := 0, len(pos)-1
-	for lo < hi {
-		p := partitionList(val, gidx, pos, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-}
-
-func partitionList(val []float32, gidx []int32, pos []int32, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if lessList(val, gidx, pos[mid], pos[lo]) {
-		pos[lo], pos[mid] = pos[mid], pos[lo]
-	}
-	if lessList(val, gidx, pos[hi], pos[lo]) {
-		pos[lo], pos[hi] = pos[hi], pos[lo]
-	}
-	if lessList(val, gidx, pos[hi], pos[mid]) {
-		pos[mid], pos[hi] = pos[hi], pos[mid]
-	}
-	pivot := pos[mid]
-	pos[mid], pos[hi] = pos[hi], pos[mid]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if lessList(val, gidx, pos[i], pivot) {
-			pos[i], pos[store] = pos[store], pos[i]
-			store++
-		}
-	}
-	pos[store], pos[hi] = pos[hi], pos[store]
-	return store
+	return top, math.Float32frombits(thr)
 }
 
 // sortPosByIdx sorts list positions by their original coordinate ascending
