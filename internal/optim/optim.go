@@ -43,23 +43,28 @@ type WorkerOptimizer interface {
 // per-layer fan-out is not worth goroutine overhead.
 const parallelPrepThreshold = 1 << 16
 
-// forEachLayer runs fn(layer) for every layer. When more than one core is
-// available and the model is large enough, layers are distributed across
+// layerStepper is a sparsifying rule's per-layer Prepare body. Taking it as
+// an interface (the rules are pointers) rather than a closure keeps the
+// serial path of forEachLayer free of heap allocations.
+type layerStepper interface {
+	prepareLayer(grads [][]float32, lr float32, layer int)
+}
+
+// forEachLayer runs r.prepareLayer for every layer. When more than one core
+// is available and the model is large enough, layers are distributed across
 // goroutines via an atomic work counter; each layer touches only its own
-// state, so results are identical to the serial order.
-func forEachLayer(grads [][]float32, fn func(layer int)) {
+// state, so results are identical to the serial order. Only that fan-out
+// allocates (its goroutines); the serial path does not.
+func forEachLayer(r layerStepper, grads [][]float32, lr float32) {
 	n := len(grads)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	total := 0
 	for _, g := range grads {
 		total += len(g)
 	}
 	if workers <= 1 || total < parallelPrepThreshold {
-		for i := 0; i < n; i++ {
-			fn(i)
+		for i := range n {
+			r.prepareLayer(grads, lr, i)
 		}
 		return
 	}
@@ -70,7 +75,7 @@ func forEachLayer(grads [][]float32, fn func(layer int)) {
 			if i >= n {
 				return
 			}
-			fn(i)
+			r.prepareLayer(grads, lr, i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -92,14 +97,12 @@ func forEachLayer(grads [][]float32, fn func(layer int)) {
 type topkScratch struct {
 	sel    []sparse.Selector
 	chunks []sparse.Chunk
-	filled []bool
 	out    sparse.Update
 
 	// Per-layer telemetry accumulators. Each forEachLayer goroutine writes
 	// only its own layer's slot, so recording is contention- and race-free;
 	// the totals are summed serially after the fan-out joins.
-	topkNs []int64   // nanoseconds spent in Top-k selection
-	rescNs []int64   // nanoseconds spent in the SAMomentum 1/m rescale
+	topkNs []int64   // nanoseconds spent in the fused select pass
 	mass   []float64 // L1 mass of the unsent residual/velocity
 }
 
@@ -107,19 +110,30 @@ func newTopkScratch(n int) topkScratch {
 	return topkScratch{
 		sel:    make([]sparse.Selector, n),
 		chunks: make([]sparse.Chunk, n),
-		filled: make([]bool, n),
 		topkNs: make([]int64, n),
-		rescNs: make([]int64, n),
 		mass:   make([]float64, n),
 	}
 }
 
+// selectLayer sends the top k of acc for layer i (KForRatio of keepRatio),
+// scales what stays behind by unsentScale, and records the pass's time and
+// the unsent mass. It returns the layer's chunk; the sent coordinates of acc
+// are left for the caller to clear or keep.
+func (s *topkScratch) selectLayer(i int, acc []float32, keepRatio float64, unsentScale float32) *sparse.Chunk {
+	c := &s.chunks[i]
+	t0 := time.Now()
+	s.mass[i] = s.sel[i].TopKInto(c, i, acc, sparse.KForRatio(len(acc), keepRatio), unsentScale)
+	s.topkNs[i] = time.Since(t0).Nanoseconds()
+	return c
+}
+
 // assemble collects the chunks produced this step in layer order, so the
-// result is deterministic regardless of how the fan-out interleaved.
+// result is deterministic regardless of how the fan-out interleaved. Empty
+// layers select nothing and are left out.
 func (s *topkScratch) assemble() sparse.Update {
 	s.out.Chunks = s.out.Chunks[:0]
 	for i := range s.chunks {
-		if s.filled[i] {
+		if len(s.chunks[i].Idx) > 0 {
 			s.out.Chunks = append(s.out.Chunks, s.chunks[i])
 		}
 	}
@@ -258,35 +272,19 @@ func NewGradientDropping(layerSizes []int, keepRatio float64) *GradientDropping 
 // Layers are processed in parallel on multi-core hosts.
 func (o *GradientDropping) Prepare(grads [][]float32, lr float32) sparse.Update {
 	p0 := time.Now()
-	forEachLayer(grads, func(i int) {
-		o.ts.filled[i] = false
-		o.ts.topkNs[i] = 0
-		r := o.r[i]
-		var mass float64
-		for j, v := range grads[i] {
-			r[j] += lr * v
-			mass += absf(r[j])
-		}
-		k := sparse.KForRatio(len(r), o.KeepRatio)
-		if k == 0 {
-			o.ts.mass[i] = mass
-			return
-		}
-		t0 := time.Now()
-		idx := o.ts.sel[i].TopK(r, k)
-		o.ts.topkNs[i] = time.Since(t0).Nanoseconds()
-		c := &o.ts.chunks[i]
-		sparse.GatherInto(c, i, r, idx)
-		sparse.ScatterZero(c, r)
-		for _, v := range c.Val {
-			mass -= absf(v)
-		}
-		o.ts.mass[i] = mass
-		o.ts.filled[i] = true
-	})
+	forEachLayer(o, grads, lr)
 	upd := o.ts.assemble()
 	o.om.observe(&o.ts, time.Since(p0))
 	return upd
+}
+
+func (o *GradientDropping) prepareLayer(grads [][]float32, lr float32, i int) {
+	r := o.r[i]
+	for j, v := range grads[i] {
+		r[j] += lr * v
+	}
+	c := o.ts.selectLayer(i, r, o.KeepRatio, 1)
+	sparse.ScatterZero(c, r)
 }
 
 // Name implements WorkerOptimizer.
@@ -320,40 +318,22 @@ func NewDGC(layerSizes []int, m float32, keepRatio float64) *DGC {
 // processed in parallel on multi-core hosts.
 func (o *DGC) Prepare(grads [][]float32, lr float32) sparse.Update {
 	p0 := time.Now()
-	forEachLayer(grads, func(i int) {
-		o.ts.filled[i] = false
-		o.ts.topkNs[i] = 0
-		u, v := o.u[i], o.v[i]
-		var mass float64
-		for j, gv := range grads[i] {
-			u[j] = o.M*u[j] + lr*gv
-			v[j] += u[j]
-			mass += absf(v[j])
-		}
-		k := sparse.KForRatio(len(v), o.KeepRatio)
-		if k == 0 {
-			o.ts.mass[i] = mass
-			return
-		}
-		t0 := time.Now()
-		idx := o.ts.sel[i].TopK(v, k)
-		o.ts.topkNs[i] = time.Since(t0).Nanoseconds()
-		c := &o.ts.chunks[i]
-		sparse.GatherInto(c, i, v, idx)
-		sparse.ScatterZero(c, v)
-		// Momentum factor masking: stop stale momentum at sent coords.
-		for _, j := range c.Idx {
-			u[j] = 0
-		}
-		for _, cv := range c.Val {
-			mass -= absf(cv)
-		}
-		o.ts.mass[i] = mass
-		o.ts.filled[i] = true
-	})
+	forEachLayer(o, grads, lr)
 	upd := o.ts.assemble()
 	o.om.observe(&o.ts, time.Since(p0))
 	return upd
+}
+
+func (o *DGC) prepareLayer(grads [][]float32, lr float32, i int) {
+	u, v := o.u[i], o.v[i]
+	for j, gv := range grads[i] {
+		u[j] = o.M*u[j] + lr*gv
+		v[j] += u[j]
+	}
+	c := o.ts.selectLayer(i, v, o.KeepRatio, 1)
+	sparse.ScatterZero(c, v)
+	// Momentum factor masking: stop stale momentum at sent coords.
+	sparse.ScatterZero(c, u)
 }
 
 // Name implements WorkerOptimizer.
@@ -395,48 +375,20 @@ func NewSAMomentum(layerSizes []int, m float32, keepRatio float64) *SAMomentum {
 // parallel on multi-core hosts.
 func (o *SAMomentum) Prepare(grads [][]float32, lr float32) sparse.Update {
 	p0 := time.Now()
-	invM := 1 / o.M
-	forEachLayer(grads, func(i int) {
-		o.ts.filled[i] = false
-		o.ts.topkNs[i], o.ts.rescNs[i] = 0, 0
-		u := o.u[i]
-		for j, gv := range grads[i] {
-			u[j] = o.M*u[j] + lr*gv
-		}
-		k := sparse.KForRatio(len(u), o.KeepRatio)
-		if k == 0 {
-			var mass float64
-			for _, uv := range u {
-				mass += absf(uv)
-			}
-			o.ts.mass[i] = mass
-			return
-		}
-		t0 := time.Now()
-		idx := o.ts.sel[i].TopK(u, k)
-		o.ts.topkNs[i] = time.Since(t0).Nanoseconds()
-		c := &o.ts.chunks[i]
-		sparse.GatherInto(c, i, u, idx)
-		// Magnify every unsent coordinate by 1/m. Walk the sorted sent
-		// indices alongside the full range.
-		t1 := time.Now()
-		var mass float64
-		si := 0
-		for j := range u {
-			if si < len(c.Idx) && int32(j) == c.Idx[si] {
-				si++ // sent: velocity retained as-is
-				continue
-			}
-			u[j] *= invM
-			mass += absf(u[j])
-		}
-		o.ts.rescNs[i] = time.Since(t1).Nanoseconds()
-		o.ts.mass[i] = mass
-		o.ts.filled[i] = true
-	})
+	forEachLayer(o, grads, lr)
 	upd := o.ts.assemble()
 	o.om.observe(&o.ts, time.Since(p0))
 	return upd
+}
+
+// prepareLayer magnifies every unsent coordinate by 1/m in the same pass
+// that gathers the sent ones, whose velocity is retained as-is.
+func (o *SAMomentum) prepareLayer(grads [][]float32, lr float32, i int) {
+	u := o.u[i]
+	for j, gv := range grads[i] {
+		u[j] = o.M*u[j] + lr*gv
+	}
+	o.ts.selectLayer(i, u, o.KeepRatio, 1/o.M)
 }
 
 // Name implements WorkerOptimizer.

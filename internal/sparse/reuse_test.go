@@ -154,15 +154,37 @@ func TestSelectorSteadyStateAllocs(t *testing.T) {
 		gidx[i] = int32(len(x) - 1 - i)
 	}
 	var sel Selector
+	var c Chunk
 	k := len(x) / 100
-	sel.TopKList(x, gidx, k) // warm the scratch
+	sel.TopKList(x, gidx, k)     // warm the scratch
+	sel.TopKInto(&c, 0, x, k, 1) // scale 1: x is not written
 	allocs := testing.AllocsPerRun(10, func() {
 		sel.TopK(x, k)
 		sel.Threshold(x, k)
 		sel.TopKList(x, gidx, k)
+		sel.TopKInto(&c, 0, x, k, 1)
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state selection allocates %v objects, want 0", allocs)
+	}
+
+	// The server's push path hands TopKList a candidate list whose length
+	// drifts from push to push. Once the scratch has grown past the drift,
+	// no call allocates; each measured call is counted exactly.
+	rng := tensor.NewRNG(36)
+	drift := func() {
+		n := len(x)/2 + rng.Intn(len(x)/2+1)
+		sel.TopKList(x[:n], gidx[:n], k)
+	}
+	for range 10 {
+		drift()
+	}
+	allocs = 0
+	for range 20 {
+		allocs += testing.AllocsPerRun(1, drift)
+	}
+	if allocs > 0 {
+		t.Fatalf("TopKList on drifting lengths allocates %v objects over 20 calls, want 0", allocs)
 	}
 }
 

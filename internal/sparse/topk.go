@@ -75,6 +75,58 @@ func (s *Selector) TopK(x []float32, k int) []int32 {
 	return out
 }
 
+// TopKInto is TopK followed by GatherInto and a rescale of the rest, in one
+// pass over x after the select. It fills c with layer, the ascending
+// indices TopK(x, k) would return and their values as they were, multiplies
+// every unsent coordinate of x by unsentScale in place (no stores when the
+// scale is 1), and returns the L1 norm of the unsent coordinates after
+// scaling, summed in index order. Sent coordinates of x are not touched.
+// k <= 0 sends nothing, so every coordinate is scaled and counted. c's
+// storage is reused, so steady-state calls allocate nothing.
+//
+// This is the sparsifying optimizers' per-layer step: send the top k of an
+// accumulator, magnify what stays behind (SAMomentum's ×1/m; 1 for the
+// residual rules) and report the residual mass.
+func (s *Selector) TopKInto(c *Chunk, layer int, x []float32, k int, unsentScale float32) (unsentL1 float64) {
+	k = max(0, min(k, len(x)))
+	// No key exceeds or equals MaxUint32, so k == 0 selects nothing.
+	thr, ties := uint32(math.MaxUint32), 0
+	if k > 0 {
+		thr, ties = s.selectKey(x, k)
+	}
+	c.Layer = layer
+	idx, val := grow(c.Idx, k), grow(c.Val, k)
+	m := 0
+	for i, v := range x {
+		if kv := key(v); kv > thr || kv == thr && ties > 0 {
+			if kv == thr {
+				ties--
+			}
+			idx[m], val[m] = int32(i), v
+			m++
+			continue
+		}
+		if unsentScale != 1 {
+			v *= unsentScale
+			x[i] = v
+		}
+		unsentL1 += float64(math.Float32frombits(math.Float32bits(v) &^ (1 << 31)))
+	}
+	c.Idx, c.Val = idx, val
+	return unsentL1
+}
+
+// grow returns buf resliced to length n, reallocating only when its
+// capacity is short — and then to at least twice that capacity (and never
+// below 64), so inputs whose size drifts from call to call stop
+// reallocating after a few calls.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = make([]T, n, max(n, 2*cap(buf), 64))
+	}
+	return buf[:n]
+}
+
 // Threshold returns the k-th largest Rank of x (the paper's thr) without
 // materialising the selection. k > len(x) gives the smallest Rank. It
 // returns 0 for k <= 0 or empty x.
@@ -94,15 +146,9 @@ func (s *Selector) Threshold(x []float32, k int) float32 {
 // A NaN gradient coordinate is already a diverged run; shipping it first
 // surfaces the divergence instead of hiding it. Exported because ps keeps
 // per-block residual summaries in this same magnitude space (max Rank per
-// block) and compares them against selection thresholds.
+// block) and compares them against selection thresholds. Rank(−0) is +0.
 func Rank(v float32) float32 {
-	if v != v {
-		return float32(math.Inf(1))
-	}
-	if v < 0 {
-		return -v
-	}
-	return v
+	return math.Float32frombits(key(v))
 }
 
 // infKey is the key of +Inf; every NaN is clamped to it.
@@ -110,8 +156,8 @@ const infKey = 0x7f800000
 
 // key is Rank as an order-preserving integer: the bits of |v|, which sort
 // like the magnitudes themselves, with NaN clamped to +Inf. −0 and +0 share
-// key 0. math.Float32frombits(key(v)) == Rank(v) for every v but NaN, whose
-// Rank is +Inf all the same.
+// key 0. It is the one definition of the selection order; Rank is its
+// float view.
 func key(v float32) uint32 {
 	return min(math.Float32bits(v)&0x7fffffff, infKey)
 }
@@ -132,9 +178,7 @@ func (s *Selector) selectKey(x []float32, k int) (thr uint32, ties int) {
 		hist[key(v)>>20]++
 	}
 	hi, need := descend(hist[:], k)
-	if cap(s.keys) < int(hist[hi]) {
-		s.keys = make([]uint32, hist[hi])
-	}
+	s.keys = grow(s.keys, int(hist[hi]))
 	keys := s.keys[:0]
 	for _, v := range x {
 		if kv := key(v); kv>>20 == hi {
@@ -205,10 +249,8 @@ func (s *Selector) TopKList(val []float32, gidx []int32, k int) ([]int32, float3
 	}
 	k = min(k, n)
 	thr, ties := s.selectKey(val, k)
-	if cap(s.idx) < n {
-		s.idx = make([]int32, n)
-	}
-	pos := s.idx[:n]
+	s.idx = grow(s.idx, n)
+	pos := s.idx
 	// Positions above the threshold fill pos from the front, those at it
 	// from the back; of the latter the ties with the smallest gidx win.
 	above, at := 0, n

@@ -27,12 +27,11 @@ func oracleOrder(x []float32) []int32 {
 	return order
 }
 
-// checkTopKOracle runs TopK, Threshold and TopKList on x for every k and
-// compares each bit for bit against the oracle: the first k coordinates of
-// the oracle order, ascending, and the Rank of the k-th one with its sign
-// cleared (Rank(−0) is −0, the kernel's key gives +0). TopKList sees x as a
-// candidate list in perm's order: entry i holds x[perm[i]] at coordinate
-// perm[i].
+// checkTopKOracle runs TopK, Threshold, TopKList and TopKInto on x for
+// every k and compares each bit for bit against the oracle: the first k
+// coordinates of the oracle order, ascending, and the Rank of the k-th one.
+// TopKList sees x as a candidate list in perm's order: entry i holds
+// x[perm[i]] at coordinate perm[i].
 func checkTopKOracle(t *testing.T, sel *Selector, x []float32, perm []int32, ks ...int) {
 	t.Helper()
 	n := len(x)
@@ -45,7 +44,7 @@ func checkTopKOracle(t *testing.T, sel *Selector, x []float32, perm []int32, ks 
 		kk := min(k, n)
 		want := append([]int32(nil), order[:kk]...)
 		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-		wantThr := float32(math.Abs(float64(Rank(x[order[kk-1]]))))
+		wantThr := Rank(x[order[kk-1]])
 
 		got := sel.TopK(x, k)
 		if len(got) != kk {
@@ -72,6 +71,50 @@ func checkTopKOracle(t *testing.T, sel *Selector, x []float32, perm []int32, ks 
 		if math.Float32bits(thr) != math.Float32bits(wantThr) {
 			t.Fatalf("n=%d k=%d: TopKList threshold %v, oracle %v", n, k, thr, wantThr)
 		}
+		for _, scale := range []float32{1, 1 / float32(0.7)} {
+			checkTopKInto(t, sel, x, k, scale, want)
+		}
+	}
+	checkTopKInto(t, sel, x, 0, 1/float32(0.9), nil)
+}
+
+// checkTopKInto runs TopKInto on a copy of x and checks it against TopK
+// followed by GatherInto: the chunk holds the want coordinates with their
+// values as they were, sent coordinates are untouched, unsent ones equal
+// x*scale bit for bit (and are not stored at all when the scale is 1), and
+// the returned mass is their L1 summed in index order.
+func checkTopKInto(t *testing.T, sel *Selector, x []float32, k int, scale float32, want []int32) {
+	t.Helper()
+	n := len(x)
+	y := append([]float32(nil), x...)
+	var c Chunk
+	l1 := sel.TopKInto(&c, 3, y, k, scale)
+	if c.Layer != 3 || len(c.Idx) != len(want) || len(c.Val) != len(want) {
+		t.Fatalf("n=%d k=%d: TopKInto chunk layer %d with %d/%d entries, want layer 3 with %d",
+			n, k, c.Layer, len(c.Idx), len(c.Val), len(want))
+	}
+	sent := make([]bool, n)
+	for i, j := range want {
+		if c.Idx[i] != j || math.Float32bits(c.Val[i]) != math.Float32bits(x[j]) {
+			t.Fatalf("n=%d k=%d: TopKInto entry %d is (%d, %v), want (%d, %v)", n, k, i, c.Idx[i], c.Val[i], j, x[j])
+		}
+		sent[j] = true
+	}
+	var wantL1 float64
+	for j, v := range x {
+		wv := v
+		if !sent[j] && scale != 1 {
+			wv = v * scale
+		}
+		if math.Float32bits(y[j]) != math.Float32bits(wv) {
+			t.Fatalf("n=%d k=%d scale=%v: coordinate %d (sent %v) is %v after TopKInto, want %v", n, k, scale, j, sent[j], y[j], wv)
+		}
+		if !sent[j] {
+			wantL1 += math.Abs(float64(wv))
+		}
+	}
+	if l1 != wantL1 && !(l1 != l1 && wantL1 != wantL1) {
+		t.Fatalf("n=%d k=%d scale=%v: TopKInto unsent L1 %v, want %v", n, k, scale, l1, wantL1)
 	}
 }
 
@@ -145,7 +188,7 @@ func shuffled(rng *tensor.RNG, n int) []int32 {
 }
 
 // TestTopKMatchesOracle is the exact differential check of the selection
-// kernel: every layer shape, at k ∈ {1, ~1%, n−1, n, >n} and a random k, on
+// kernel (TopKInto included, at k = 0 too): every layer shape, at k ∈ {1, ~1%, n−1, n, >n} and a random k, on
 // layers below and above 2^16 coordinates.
 func TestTopKMatchesOracle(t *testing.T) {
 	rng := tensor.NewRNG(12)
@@ -164,8 +207,8 @@ func TestTopKMatchesOracle(t *testing.T) {
 }
 
 // FuzzTopK checks the kernel against the oracle on arbitrary bit patterns:
-// every 4 bytes of data are one float32, and TopKList sees them in reverse
-// coordinate order.
+// every 4 bytes of data are one float32, TopKList sees them in reverse
+// coordinate order, and TopKInto is held to TopK plus GatherInto.
 func FuzzTopK(f *testing.F) {
 	enc := func(vs ...float32) []byte {
 		b := make([]byte, 0, 4*len(vs))

@@ -148,6 +148,15 @@ func TestRankTotalOrder(t *testing.T) {
 	if Rank(-3) != 3 || Rank(3) != 3 || Rank(0) != 0 {
 		t.Fatal("Rank must be |v| for non-NaN")
 	}
+	// −0 ranks as +0, and every NaN, whatever its sign and payload, as +Inf.
+	if r := Rank(float32(math.Copysign(0, -1))); math.Float32bits(r) != 0 {
+		t.Fatalf("Rank(−0) = %v (%#x), want +0", r, math.Float32bits(r))
+	}
+	for _, bits := range []uint32{0x7fc00000, 0xffc00000, 0x7f800001, 0xff812345, 0x7fffffff} {
+		if r := Rank(math.Float32frombits(bits)); math.Float32bits(r) != 0x7f800000 {
+			t.Fatalf("Rank(NaN %#x) = %v (%#x), want +Inf", bits, r, math.Float32bits(r))
+		}
+	}
 	// A NaN beats every finite value in selection.
 	pos, _ := new(Selector).TopKList([]float32{1e30, nan}, []int32{0, 1}, 1)
 	if len(pos) != 1 || pos[0] != 1 {
