@@ -163,11 +163,11 @@ type Config struct {
 	// TCPAddr, when set (e.g. "127.0.0.1:0"), runs worker↔server exchanges
 	// over real TCP sockets instead of in-process calls.
 	TCPAddr string
-	// PipelineDepth bounds each worker's in-flight exchanges. 0 or 1 keeps
-	// the synchronous loop (the default, identical to paper baselines);
-	// values > 1 overlap communication with the next steps' compute,
-	// trading at most PipelineDepth−1 extra steps of staleness for hidden
-	// round trips.
+	// PipelineDepth bounds each worker's in-flight exchanges. 0 or 1 is a
+	// window of one, the synchronous loop (the default, identical to paper
+	// baselines); values > 1 overlap communication with the next steps'
+	// compute, trading at most PipelineDepth−1 extra steps of staleness for
+	// hidden round trips.
 	PipelineDepth int
 	// Shards, when > 1, splits the parameter server into independently
 	// locked shards (the classic PS scaling architecture).

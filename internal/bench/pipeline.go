@@ -105,8 +105,9 @@ func measureStep(steps int) (time.Duration, error) {
 
 // runPipelinedDepth trains one worker over real TCP through a
 // PipelinedSession whose link adds a fixed simulated RTT, and returns the
-// measured steps/sec. depth 1 exercises the synchronous loop (Exchange =
-// Submit+Await back to back), depth ≥ 2 the pipelined loop.
+// measured steps/sec. Depth 1 is a window of one (each step's Submit
+// awaited in the same step, the synchronous schedule); depth ≥ 2 overlaps
+// the round trips with compute.
 func runPipelinedDepth(steps, depth int, rtt time.Duration) (float64, error) {
 	cfg := pipelineBenchConfig(steps)
 	cfg.PipelineDepth = depth

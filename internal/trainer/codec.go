@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -229,13 +230,25 @@ func (u *upCodec) encode(dst []byte, upd *sparse.Update, rng *tensor.RNG) []byte
 	return u.quant.AppendEncode(dst, &u.q)
 }
 
+// errPipelinedPreV3 is the bad-magic rejection of a v3 frame met while other
+// exchanges are still in flight. Those were encoded, and their errors
+// folded, under the rejected codec, so there is no point at which the
+// worker could downgrade to raw; the configuration has to change.
+var errPipelinedPreV3 = errors.New("server predates the v3 codec frame and cannot downgrade a pipelined worker; run with -codec raw or -pipeline 1")
+
+// rejectedV3 reports whether an exchange error means the peer predates the
+// v3 frame: it rejected the magic of a frame this codec encoded.
+func (u *upCodec) rejectedV3(err error) bool {
+	return u.quant != nil && err != nil && strings.Contains(err.Error(), "bad magic")
+}
+
 // fallbackToRaw reports whether an exchange error means the peer predates
-// the v3 frame (it rejected the magic), in which case the worker downgrades
-// to codec 0. The quantized update was already prepared and its error
-// folded, so the caller re-sends the same values raw — the accounting is
-// unchanged, only the encoding widens.
+// the v3 frame, in which case the worker downgrades to codec 0. The
+// quantized update was already prepared and its error folded, so the caller
+// re-sends the same values raw — the accounting is unchanged, only the
+// encoding widens.
 func (u *upCodec) fallbackToRaw(err error) bool {
-	if u.quant == nil || err == nil || !strings.Contains(err.Error(), "bad magic") {
+	if !u.rejectedV3(err) {
 		return false
 	}
 	u.quant = nil

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -183,6 +184,42 @@ func TestV3WorkerFallsBackToRawAgainstV2Server(t *testing.T) {
 	}
 	if got := badMagic.Load(); got != 1 {
 		t.Fatalf("v2 server rejected %d frames; the worker must downgrade after exactly one bad-magic error", got)
+	}
+}
+
+// TestPipelinedWorkerFailsLoudlyAgainstV2Server: at depth 2 the next v3
+// frame is already in flight when the server rejects the first, so the
+// worker has no point at which to downgrade. RunResilientWorkerLoop must
+// give up on its first attempt with an error that names the codec and the
+// fix, instead of redialing into the same rejection.
+func TestPipelinedWorkerFailsLoudlyAgainstV2Server(t *testing.T) {
+	cfg := quickConfig(DGS, 1)
+	cfg.Codec = "ternary"
+	cfg.PipelineDepth = 2
+	sizes := cfg.BuildModel(tensor.NewRNG(cfg.Seed)).LayerSizes()
+	server := ps.NewServer(ps.Config{LayerSizes: sizes, Workers: 1, Quiet: true})
+	// The v2-era handler of TestV3WorkerFallsBackToRawAgainstV2Server.
+	v2 := func(worker int, payload []byte) ([]byte, error) {
+		g, err := sparse.Decode(payload)
+		if err != nil {
+			return nil, err
+		}
+		G, _ := server.Push(worker, g)
+		return sparse.Encode(&G), nil
+	}
+	dials := 0
+	_, err := RunResilientWorkerLoop(cfg, 0, func() (transport.Transport, error) {
+		dials++
+		return transport.NewLoopback(v2), nil
+	}, 3)
+	if err == nil {
+		t.Fatal("pipelined v3 worker ran against a v2 server")
+	}
+	if dials != 1 {
+		t.Fatalf("%d dial attempts; the rejection is not transient and must not be retried", dials)
+	}
+	if !errors.Is(err, errPipelinedPreV3) || !strings.Contains(err.Error(), `"ternary"`) || !strings.Contains(err.Error(), "-codec raw") {
+		t.Fatalf("error %q must name the codec and the -codec raw fix", err)
 	}
 }
 

@@ -16,15 +16,16 @@ var trmet = struct {
 	downBytes   *telemetry.Counter
 }{}
 
-// pipeMet instruments the pipelined exchange path. commSeconds shares its
-// identity with the transport package (both Pipeliner implementations add
-// each exchange's in-flight wall time there); blockedSeconds is the part of
-// that time the worker actually spent stalled in Submit/Await, so
+// pipeMet instruments the worker's exchange window at every depth.
+// commSeconds shares its identity with the transport package (both
+// Pipeliner implementations add each exchange's in-flight wall time there);
+// blockedSeconds is the part of that time the worker actually spent stalled
+// in Await, so
 //
 //	overlap_efficiency = (comm − blocked) / comm
 //
-// is the fraction of communication hidden behind compute — the gauge the
-// tentpole exists to move from ~0 (synchronous) toward 1.
+// is the fraction of communication hidden behind compute: ~0 at depth 1,
+// approaching 1 as deeper windows hide the round trip.
 var pipeMet = struct {
 	inflight       *telemetry.Gauge
 	blockedSeconds *telemetry.Gauge

@@ -76,7 +76,9 @@ func RunWorkerLoop(cfg Config, id int, tr transport.Transport) (*Result, error) 
 //
 // maxRestarts bounds rejoin attempts after the first. A stale-session
 // rejection (another live incarnation owns this worker id) is fatal and is
-// returned immediately — rejoining would fence out the legitimate owner.
+// returned immediately — rejoining would fence out the legitimate owner. So
+// is a pre-v3 server's rejection of a pipelined worker's codec frame, which
+// only a configuration change cures.
 func RunResilientWorkerLoop(cfg Config, id int, dial func() (transport.Transport, error), maxRestarts int) (*Result, error) {
 	var lastErr error
 	for attempt := 0; attempt <= maxRestarts; attempt++ {
@@ -92,6 +94,9 @@ func RunResilientWorkerLoop(cfg Config, id int, dial func() (transport.Transport
 		}
 		if errors.Is(err, transport.ErrStaleSession) {
 			return nil, fmt.Errorf("trainer: worker %d superseded: %w", id, err)
+		}
+		if errors.Is(err, errPipelinedPreV3) {
+			return nil, err // a rejoin meets the same server
 		}
 		lastErr = err
 	}

@@ -135,12 +135,14 @@ type Config struct {
 	// and every worker dials its own connection. Empty means in-process
 	// loopback.
 	TCPAddr string
-	// PipelineDepth bounds each worker's in-flight exchanges. 0 or 1 keeps
-	// today's synchronous loop (the exact same code path, so baselines and
-	// the paper figures are bit-identical); D > 1 overlaps up to D
-	// exchanges with compute, applying each downward difference at the
+	// PipelineDepth bounds each worker's in-flight exchanges. 0 and 1 are a
+	// window of one: each exchange is awaited in the step that submitted
+	// it, the synchronous loop the paper figures use. D > 1 overlaps up to
+	// D exchanges with compute, applying each downward difference at the
 	// next batch boundary — bounded-delay ASGD with at most D−1 extra
-	// steps of client-side delay (see DESIGN.md §10).
+	// steps of client-side delay (see DESIGN.md §10). Every depth runs the
+	// same loop; a transport without native pipelining is driven through a
+	// transport.QueuedPipeliner.
 	PipelineDepth int
 	// Shards, when > 1, partitions the parameter server into that many
 	// independently-locked shards (Li et al.'s PS scaling architecture).
@@ -533,24 +535,31 @@ type worker struct {
 	lr              func(int64) float32
 	res             *Result
 
-	// per-iteration exchange scratch: the encoded upward payload and the
-	// decoded downward update, reused so the steady-state loop allocates
-	// nothing in the exchange path.
-	encBuf []byte
-	down   sparse.Update
+	// down is the decoded downward update, reused so the steady-state loop
+	// allocates nothing in the exchange path.
+	down sparse.Update
 }
 
 // run is the worker training loop. It returns its model replica so the
 // coordinator can evaluate the final state.
 //
-// PipelineDepth > 1 dispatches to the pipelined loop in pipeline.go; depth
-// 0/1 runs the loop below — deliberately the untouched synchronous path,
-// so default runs reproduce pre-pipelining results bit for bit.
+// Up to max(PipelineDepth, 1) exchanges are in flight: step t's encode →
+// round trip → downward decode overlaps step t+1's forward/backward.
+// Responses are awaited strictly in submit order and applied at the next
+// batch boundary, so the replica is always the server state as of some
+// recent exchange — bounded-delay ASGD with at most depth−1 steps of
+// client-side delay folded into the staleness the server already accounts
+// for. With a window of one (depth 0 or 1) each exchange is awaited in the
+// step that submitted it: the synchronous loop of Algorithms 1–3.
+//
+// SAMomentum/residual correctness across in-flight boundaries: Prepare runs
+// serially in this goroutine and performs the unsent-coordinate rescale
+// (Eq. 14–16) before the payload is handed to the transport, and the
+// payload is immediately encoded into a private ring slot — the optimizer
+// state is never referenced after handoff.
 func (w *worker) run() (*nn.Model, error) {
-	if w.cfg.PipelineDepth > 1 {
-		return w.runPipelined(w.cfg.PipelineDepth)
-	}
 	cfg := w.cfg
+	depth := max(cfg.PipelineDepth, 1)
 	// Identical init across replicas: every worker seeds its model RNG the
 	// same way, so all start from θ0 (the PS tracks only differences).
 	model := cfg.BuildModel(tensor.NewRNG(cfg.Seed))
@@ -562,12 +571,86 @@ func (w *worker) run() (*nn.Model, error) {
 	qrng := tensor.NewRNG(cfg.Seed + uint64(7000+w.id))
 	codec := newUpCodec(cfg.Codec, opt)
 
+	// Use the transport's native pipelining when it has one (the
+	// PipelinedSession mux client); otherwise drive the synchronous stack
+	// (loopback, chaos stacks, plain TCP) through a comms goroutine.
+	pipe, native := w.tr.(transport.Pipeliner)
+	if !native {
+		qp := transport.NewQueuedPipeliner(w.tr, depth)
+		defer qp.Stop()
+		pipe = qp
+	}
+
+	// A submitted payload is owned by the transport until its Await
+	// resolves (the pipelined session retains the bytes for
+	// replay-on-reconnect), so each in-flight exchange needs its own
+	// grow-once encode buffer.
+	encBufs := make([][]byte, depth+1)
+	encSlot := 0
+	// submit hands the transport a payload encoded into encBufs[encSlot]
+	// and advances the ring.
+	submit := func(payload []byte) error {
+		encBufs[encSlot] = payload
+		encSlot = (encSlot + 1) % len(encBufs)
+		s0 := time.Now()
+		if err := pipe.Submit(w.id, payload); err != nil {
+			return fmt.Errorf("trainer: worker %d submit: %w", w.id, err)
+		}
+		pipeMet.stageSubmit.Observe(time.Since(s0).Seconds())
+		pipeMet.inflight.Set(float64(pipe.InFlight()))
+		return nil
+	}
+
 	nextEval := float64(cfg.EvalEveryEpochs)
 	params := model.Params()
+
+	// awaitApply resolves the oldest in-flight exchange and applies its
+	// downward model difference to the replica.
+	awaitApply := func() error {
+		a0 := time.Now()
+		respBytes, err := pipe.Await()
+		if codec.rejectedV3(err) && pipe.InFlight() > 0 {
+			return fmt.Errorf("trainer: worker %d codec %q: %w: %v", w.id, cfg.Codec, errPipelinedPreV3, err)
+		}
+		if codec.fallbackToRaw(err) {
+			// The server predates the v3 frame and the rejected exchange
+			// was the only one in flight: re-send the same quantized values
+			// as a raw frame and stay on codec 0 from here on.
+			if err = submit(sparse.AppendEncode(encBufs[encSlot][:0], &codec.q)); err != nil {
+				return err
+			}
+			respBytes, err = pipe.Await()
+		}
+		blocked := time.Since(a0)
+		pipeMet.blockedSeconds.Add(blocked.Seconds())
+		pipeMet.stageAwait.Observe(blocked.Seconds())
+		pipeMet.inflight.Set(float64(pipe.InFlight()))
+		if err != nil {
+			return fmt.Errorf("trainer: worker %d exchange: %w", w.id, err)
+		}
+		if err := sparse.DecodeAnyInto(&w.down, respBytes); err != nil {
+			return fmt.Errorf("trainer: worker %d decode response: %w", w.id, err)
+		}
+		p0 := time.Now()
+		for ci := range w.down.Chunks {
+			c := &w.down.Chunks[ci]
+			sparse.Scatter(c, params[c.Layer].Value.Data, 1)
+		}
+		pipeMet.stageApply.Observe(time.Since(p0).Seconds())
+		return nil
+	}
 
 	for {
 		iter := w.iterCounter.Add(1) - 1
 		if iter >= int64(w.totalIters) {
+			// Drain: every in-flight response must land on the replica
+			// before it is returned for evaluation (and before the final
+			// syncModel reuses the transport synchronously).
+			for pipe.InFlight() > 0 {
+				if err := awaitApply(); err != nil {
+					return model, err
+				}
+			}
 			return model, nil
 		}
 		batch := loader.Next()
@@ -601,27 +684,21 @@ func (w *worker) run() (*nn.Model, error) {
 		if cfg.Ternary {
 			upd = quant.TernarizeUpdate(&upd, qrng)
 		}
-		// Transports either consume the payload synchronously (loopback) or
-		// copy it (session framing, TCP write), so the buffer is free for
-		// reuse as soon as Exchange returns.
-		w.encBuf = codec.encode(w.encBuf[:0], &upd, qrng)
+		e0 := time.Now()
+		payload := codec.encode(encBufs[encSlot][:0], &upd, qrng)
+		pipeMet.stageEncode.Observe(time.Since(e0).Seconds())
+		if err := submit(payload); err != nil {
+			return model, err
+		}
 
-		respBytes, err := w.tr.Exchange(w.id, w.encBuf)
-		if codec.fallbackToRaw(err) {
-			// The server predates the v3 frame: re-send the same quantized
-			// values as a raw frame and stay on codec 0 from here on.
-			w.encBuf = sparse.AppendEncode(w.encBuf[:0], &codec.q)
-			respBytes, err = w.tr.Exchange(w.id, w.encBuf)
-		}
-		if err != nil {
-			return model, fmt.Errorf("trainer: worker %d exchange: %w", w.id, err)
-		}
-		if err := sparse.DecodeAnyInto(&w.down, respBytes); err != nil {
-			return model, fmt.Errorf("trainer: worker %d decode response: %w", w.id, err)
-		}
-		for ci := range w.down.Chunks {
-			c := &w.down.Chunks[ci]
-			sparse.Scatter(c, params[c.Layer].Value.Data, 1)
+		// The window is full once depth exchanges are in flight: resolve
+		// the oldest (at depth > 1 it was submitted before this step's
+		// compute began, so its round trip has been hiding behind it) and
+		// apply its difference at this batch boundary.
+		if pipe.InFlight() >= depth {
+			if err := awaitApply(); err != nil {
+				return model, err
+			}
 		}
 		observeStep(iterStart)
 
@@ -629,8 +706,9 @@ func (w *worker) run() (*nn.Model, error) {
 		w.res.Loss.Add(epoch, loss)
 
 		// Worker 0 owns periodic evaluation. It runs between its own
-		// iterations on its own replica (which tracks the server model),
-		// so no synchronisation with other workers is needed.
+		// iterations on its own replica (which tracks the server model, at
+		// most depth−1 responses behind), so no synchronisation with other
+		// workers is needed.
 		if w.id == 0 && epoch >= nextEval {
 			acc := evaluate(cfg, model)
 			w.res.Accuracy.Add(epoch, acc)
